@@ -43,7 +43,6 @@ END_TO_END = (
     ("delivery_ms_p50", "ms"),
     ("delivery_ms_p90", "ms"),
     ("setup_s", "s"),
-    ("rss_growth_kb_per_tick", "KiB/tick"),
 )
 
 
@@ -153,6 +152,8 @@ class Runner:
         self.failed = 0
         self.errors: list[str] = []
         self.metadata: dict = {}
+        #: ``serve`` queue spans dropped for netting to no change.
+        self.net_zero_drops = 0
 
     def _await(self, coroutine):
         return self.loop.run_until_complete(coroutine)
@@ -198,6 +199,7 @@ class Runner:
         self.attempted += run.attempted
         self.failed += run.failed
         self.errors.extend(run.errors)
+        self.net_zero_drops += getattr(run, "dropped", 0)
         self.metadata = run.metadata()
         if self.serve:
             self._await(run.close())
@@ -280,8 +282,10 @@ def end_to_end(runner: Runner, seconds: float) -> tuple[dict, dict]:
     values, raw = phase.figures()
     values["setup_s"] = median(normalized for normalized, _ in setups)
     raw["setup_s"] = median(elapsed for _, elapsed in setups)
-    values["rss_growth_kb_per_tick"] = rss_growth
     extra = {
+        # Metadata, not a metric: on ``serve`` the growth is small next to
+        # the steps in which the heap grows, and ten runs spread 0.1-0.36.
+        "rss_growth_kb_per_tick": rss_growth,
         "instants": len(phase),
         "delivery_samples": sum(map(len, phase.latencies)),
         "raw": raw,
@@ -361,6 +365,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "trace": args.trace,
         **runner.metadata,
+        **({"net_zero_drops": runner.net_zero_drops} if runner.serve else {}),
         **common.host_metadata(),
         **extra,
     }
