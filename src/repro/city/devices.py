@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.devices.determinism import stable_gauss_like, stable_unit
-from repro.errors import ServiceError
 from repro.model.prototypes import Prototype
 from repro.model.schema import RelationSchema
 from repro.model.services import Service, ServiceRegistry
@@ -373,16 +372,15 @@ class FleetTelemetryFeeder:
     def __call__(self, instant: int) -> None:
         if instant % self.period != 0:
             return
-        rows = []
-        for service in self.registry.providers(self.prototype):
-            try:
-                results = self.registry.invoke(
-                    self.prototype, service.reference, {}, instant
-                )
-            except ServiceError:
-                continue
-            for outputs in results:
-                rows.append(self.build_row(service, outputs, instant))
+        registry = self.registry
+        build_row = self.build_row
+        rows = [
+            build_row(service, outputs, instant)
+            for service, results in registry.invoke_many(
+                self.prototype, registry.providers(self.prototype), {}, instant
+            )
+            for outputs in results
+        ]
         if rows:
             self.insert(rows)
 

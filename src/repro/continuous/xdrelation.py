@@ -76,27 +76,30 @@ class XDRelation:
 
     def insert(self, tuples: Iterable[tuple], instant: int) -> int:
         """Insert tuples at ``instant``; returns how many were new."""
-        inserted, deleted = self._delta(instant)
-        count = 0
-        for values in tuples:
-            values = self.schema.validate_tuple(values)
-            if values in self._state:
-                continue
-            self._state.add(values)
-            deleted.discard(values)
-            inserted.add(values)
-            count += 1
-        if count:
-            self._revision += 1
-        return count
+        return self._insert_valid(map(self.schema.validate_tuple, tuples), instant)
 
     def insert_mappings(
         self, rows: Iterable[Mapping[str, object]], instant: int
     ) -> int:
         """Insert name→value rows (real attributes only) at ``instant``."""
-        return self.insert(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
-        )
+        return self._insert_valid(map(self.schema.tuple_from_mapping, rows), instant)
+
+    def _insert_valid(self, tuples: Iterable[tuple], instant: int) -> int:
+        """:meth:`insert` of tuples the schema has already validated."""
+        inserted, deleted = self._delta(instant)
+        state = self._state
+        count = 0
+        for values in tuples:
+            if values in state:
+                continue
+            state.add(values)
+            if deleted:
+                deleted.discard(values)
+            inserted.add(values)
+            count += 1
+        if count:
+            self._revision += 1
+        return count
 
     def delete(self, tuples: Iterable[tuple], instant: int) -> int:
         """Delete tuples at ``instant``; returns how many were present.
@@ -104,6 +107,15 @@ class XDRelation:
         Streams are append-only (Section 4.1): deleting from an infinite
         XD-Relation is an error.
         """
+        return self._delete_valid(map(self.schema.validate_tuple, tuples), instant)
+
+    def delete_mappings(
+        self, rows: Iterable[Mapping[str, object]], instant: int
+    ) -> int:
+        return self._delete_valid(map(self.schema.tuple_from_mapping, rows), instant)
+
+    def _delete_valid(self, tuples: Iterable[tuple], instant: int) -> int:
+        """:meth:`delete` of tuples the schema has already validated."""
         if self.infinite:
             raise SerenaError(
                 f"stream {self.schema.name!r} is append-only: deletion is "
@@ -112,7 +124,6 @@ class XDRelation:
         inserted, deleted = self._delta(instant)
         count = 0
         for values in tuples:
-            values = self.schema.validate_tuple(values)
             if values not in self._state:
                 continue
             self._state.discard(values)
@@ -124,13 +135,6 @@ class XDRelation:
         if count:
             self._revision += 1
         return count
-
-    def delete_mappings(
-        self, rows: Iterable[Mapping[str, object]], instant: int
-    ) -> int:
-        return self.delete(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
-        )
 
     # -- reads ---------------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.devices.determinism import stable_gauss_like
 from repro.devices.prototypes import GET_ENV_READING, GET_TEMPERATURE
-from repro.errors import ServiceError
 from repro.model.services import Service, ServiceRegistry
 
 __all__ = ["TemperatureSensor", "EnvironmentalSensor", "SensorStreamFeeder"]
@@ -176,15 +175,11 @@ class SensorStreamFeeder:
         if instant % self.period != 0:
             return
         rows = []
-        for service in self.registry.providers(GET_TEMPERATURE):
-            try:
-                results = self.registry.invoke(
-                    GET_TEMPERATURE, service.reference, {}, instant
-                )
-            except ServiceError:
-                # One faulty sensor must not silence the whole stream:
-                # its reading is absent this instant, the others flow on.
-                continue
+        # One faulty sensor must not silence the whole stream: invoke_many
+        # leaves its reading out this instant, the others flow on.
+        for service, results in self.registry.invoke_many(
+            GET_TEMPERATURE, self.registry.providers(GET_TEMPERATURE), {}, instant
+        ):
             location = str(service.properties.get("location", "unknown"))
             for (temperature,) in results:
                 rows.append(

@@ -76,29 +76,40 @@ class FederatedRelation:
         return self._ring.zone_for(value)
 
     def _group(self, tuples: Iterable[tuple]) -> dict[str, list[tuple]]:
+        """Already-validated tuples grouped by owning zone.  A federated
+        write is validated once, on entry; partitions store the groups
+        without validating them again."""
         groups: dict[str, list[tuple]] = {}
         for values in tuples:
-            values = self.schema.validate_tuple(values)
             groups.setdefault(self.zone_of(values), []).append(values)
         return groups
 
     # -- writes (scatter) ---------------------------------------------------------
 
     def insert(self, tuples: Iterable[tuple], instant: int) -> int:
-        groups = self._group(tuples)
-        return sum(
-            self.partitions[zone].insert(groups[zone], instant)
-            for zone in sorted(groups)
-        )
+        return self._insert_valid(map(self.schema.validate_tuple, tuples), instant)
 
     def insert_mappings(
         self, rows: Iterable[Mapping[str, object]], instant: int
     ) -> int:
-        return self.insert(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
+        return self._insert_valid(map(self.schema.tuple_from_mapping, rows), instant)
+
+    def _insert_valid(self, tuples: Iterable[tuple], instant: int) -> int:
+        groups = self._group(tuples)
+        return sum(
+            self.partitions[zone]._insert_valid(groups[zone], instant)
+            for zone in sorted(groups)
         )
 
     def delete(self, tuples: Iterable[tuple], instant: int) -> int:
+        return self._delete_valid(map(self.schema.validate_tuple, tuples), instant)
+
+    def delete_mappings(
+        self, rows: Iterable[Mapping[str, object]], instant: int
+    ) -> int:
+        return self._delete_valid(map(self.schema.tuple_from_mapping, rows), instant)
+
+    def _delete_valid(self, tuples: Iterable[tuple], instant: int) -> int:
         if self.infinite:
             raise SerenaError(
                 f"stream {self.schema.name!r} is append-only: deletion is "
@@ -106,15 +117,8 @@ class FederatedRelation:
             )
         groups = self._group(tuples)
         return sum(
-            self.partitions[zone].delete(groups[zone], instant)
+            self.partitions[zone]._delete_valid(groups[zone], instant)
             for zone in sorted(groups)
-        )
-
-    def delete_mappings(
-        self, rows: Iterable[Mapping[str, object]], instant: int
-    ) -> int:
-        return self.delete(
-            (self.schema.tuple_from_mapping(row) for row in rows), instant
         )
 
     # -- reads (gather) ------------------------------------------------------------

@@ -13,13 +13,25 @@ extended relation schemas of Definition 2 live in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DuplicateAttributeError, SchemaError, UnknownAttributeError
 from repro.model.attributes import Attribute
-from repro.model.types import DataType, coerce_value
+from repro.model.types import EXACT_TYPES, DataType, coerce_value
 
 __all__ = ["RelationSchema"]
+
+
+def values_getter(names: Sequence[str]) -> Callable[[dict], tuple]:
+    """``row -> tuple(row[name] for name in names)`` at C speed (a bare
+    ``itemgetter`` returns a scalar for one name, and needs at least one)."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    if names:
+        (name,) = names
+        return lambda row: (row[name],)
+    return lambda row: ()
 
 
 class RelationSchema:
@@ -29,7 +41,7 @@ class RelationSchema:
     attributes, same order).
     """
 
-    __slots__ = ("_attributes", "_index", "_hash")
+    __slots__ = ("_attributes", "_index", "_hash", "_exact_types", "_values_of")
 
     def __init__(self, attributes: Iterable[Attribute]):
         attrs = tuple(attributes)
@@ -45,6 +57,11 @@ class RelationSchema:
         object.__setattr__(self, "_attributes", attrs)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash(attrs))
+        # The compiled check of tuple_from_mapping (see EXACT_TYPES).
+        object.__setattr__(
+            self, "_exact_types", tuple(EXACT_TYPES[a.dtype] for a in attrs)
+        )
+        object.__setattr__(self, "_values_of", values_getter(tuple(index)))
 
     # -- construction helpers ------------------------------------------------
 
@@ -118,6 +135,16 @@ class RelationSchema:
         Values are coerced into their attribute domains; missing or extra
         keys raise :class:`SchemaError`.
         """
+        if type(mapping) is dict and len(mapping) == len(self._attributes):
+            # Fast path: exactly the schema's keys (len plus every lookup
+            # succeeding) and every value of its domain's exact type.
+            try:
+                values = self._values_of(mapping)
+            except KeyError:
+                pass
+            else:
+                if tuple(map(type, values)) == self._exact_types:
+                    return values
         extra = set(mapping) - set(self._index)
         if extra:
             raise UnknownAttributeError(sorted(extra)[0])

@@ -18,7 +18,7 @@ regardless of invocation order.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import (
     InvocationError,
@@ -104,6 +104,15 @@ class Service:
         return f"Service({self.reference!r} IMPLEMENTS {names})"
 
 
+class _Tally:
+    """Outcome counts of one :meth:`ServiceRegistry.invoke` call or one
+    :meth:`ServiceRegistry.invoke_many` batch, added to the registry's
+    counters once, when the call or batch ends."""
+
+    contacted = memo_hit = success = fast_failed = failed = substituted = 0
+    failovers = 0
+
+
 class ServiceRegistry:
     """The set of currently available services, keyed by reference.
 
@@ -122,8 +131,14 @@ class ServiceRegistry:
     ):
         self._services: dict[str, Service] = {}
         #: Bumped on every register/unregister — a cheap invalidation key
-        #: for caches derived from the membership (the ERM failover table).
+        #: for caches derived from the membership (the ERM failover table,
+        #: the provider index, discovery sync).
         self.topology_version = 0
+        # Provider index: prototype → its providers sorted by reference,
+        # filled on demand and valid while topology_version equals
+        # _providers_version.
+        self._providers: dict[Prototype, tuple[Service, ...]] = {}
+        self._providers_version = 0
         for service in services:
             self.register(service)
         #: Observability facade: a standalone registry defaults to the
@@ -241,11 +256,23 @@ class ServiceRegistry:
 
     def providers(self, prototype: Prototype) -> list[Service]:
         """All registered services implementing ``prototype``, sorted by
-        reference (deterministic order for discovery queries)."""
-        return sorted(
-            (s for s in self._services.values() if s.implements(prototype)),
-            key=lambda s: s.reference,
-        )
+        reference (deterministic order for discovery queries).
+
+        Answered from the provider index, which is dropped whenever
+        :attr:`topology_version` moves; every call returns a new list.
+        """
+        if self._providers_version != self.topology_version:
+            self._providers.clear()
+            self._providers_version = self.topology_version
+        found = self._providers.get(prototype)
+        if found is None:
+            found = self._providers[prototype] = tuple(
+                sorted(
+                    (s for s in self._services.values() if s.implements(prototype)),
+                    key=lambda s: s.reference,
+                )
+            )
+        return list(found)
 
     # -- invocation (Definition 1) -------------------------------------------
 
@@ -307,38 +334,118 @@ class ServiceRegistry:
         :class:`UnknownServiceError`, :class:`PrototypeNotImplementedError`
         or :class:`InvocationError` on failure.
         """
-        service = self.get(reference)
-        handler = service.handler(prototype)
+        handler = self.get(reference).handler(prototype)
+        self._check_inputs(prototype, inputs, repr(reference))
+        tally = _Tally()
+        try:
+            return self._invoke_one(
+                prototype,
+                reference,
+                handler,
+                inputs,
+                instant,
+                self._memo_inputs(inputs, instant),
+                tally,
+            )
+        finally:
+            self._count(tally)
+
+    def invoke_many(
+        self,
+        prototype: Prototype,
+        services: Iterable[Service],
+        inputs: Mapping[str, object],
+        instant: int,
+    ) -> Iterator[tuple[Service, list[tuple]]]:
+        """Invoke ``prototype`` with the same ``inputs`` on each service.
+
+        Yields ``(service, rows)`` for every service that answered, in
+        the given order.  A service whose invocation raises a
+        :class:`ServiceError` is left out; its failure is recorded exactly
+        as :meth:`invoke` records it.  Once the batch is consumed, the
+        results, health records, counters and trace equal those of
+        calling :meth:`invoke` on each reference in turn and skipping the
+        errors, and no device was contacted twice on behalf of one
+        reference.  The input check, the memo-scope test and the counter
+        updates are paid once per batch.  Inputs that do not match the
+        input schema raise :class:`InvocationError` before any device is
+        contacted.
+        """
+        self._check_inputs(prototype, inputs, "a batch of services")
+        memo_inputs = self._memo_inputs(inputs, instant)
+        tally = _Tally()
+        try:
+            for service in services:
+                reference = service.reference
+                try:
+                    handler = self.get(reference).handler(prototype)
+                    rows = self._invoke_one(
+                        prototype,
+                        reference,
+                        handler,
+                        inputs,
+                        instant,
+                        memo_inputs,
+                        tally,
+                    )
+                except ServiceError:
+                    continue
+                yield service, rows
+        finally:
+            self._count(tally)
+
+    @staticmethod
+    def _check_inputs(
+        prototype: Prototype, inputs: Mapping[str, object], target: str
+    ) -> None:
         expected = prototype.input_schema.name_set
         provided = frozenset(inputs)
         if provided != expected:
             raise InvocationError(
-                f"invocation of {prototype.name!r} on {reference!r}: input "
+                f"invocation of {prototype.name!r} on {target}: input "
                 f"attributes {sorted(provided)} do not match prototype input "
                 f"schema {sorted(expected)}"
             )
+
+    def _memo_inputs(self, inputs: Mapping[str, object], instant: int) -> tuple | None:
+        """The inputs part of the memo keys at ``instant``, or None when
+        the invocation is outside the memo's scope."""
+        if self._memo is None or instant != self._memo_instant:
+            return None
+        try:
+            return tuple(sorted(inputs.items()))
+        except TypeError:
+            return None  # unorderable input names: bypass the memo
+
+    def _invoke_one(
+        self,
+        prototype: Prototype,
+        reference: str,
+        handler: MethodHandler,
+        inputs: Mapping[str, object],
+        instant: int,
+        memo_inputs: tuple | None,
+        tally: _Tally,
+    ) -> list[tuple]:
+        """The per-reference body shared by :meth:`invoke` and
+        :meth:`invoke_many`: memo, binding, health gate, device contact,
+        output validation and failover.  Outcome counts go to ``tally``."""
         obs = self.obs
         key: tuple | None = None
-        if self._memo is not None and instant == self._memo_instant:
-            try:
-                key = (prototype.name, reference, tuple(sorted(inputs.items())))
-            except TypeError:
-                key = None  # unhashable input value: bypass the memo
-            if key is not None:
-                cached = self._memo.get(key)
-                if cached is not None:
-                    self._memo_hits_total.inc()
-                    if obs.metrics_on:
-                        self._outcome_memo_hit.inc()
-                    if obs.tracing_on:
-                        obs.tracer.event(
-                            "service.invoke",
-                            instant,
-                            service=reference,
-                            prototype=prototype.name,
-                            outcome="memo_hit",
-                        )
-                    return list(cached)
+        if memo_inputs is not None:
+            key = (prototype.name, reference, memo_inputs)
+            cached = self._memo.get(key)
+            if cached is not None:
+                tally.memo_hit += 1
+                if obs.tracing_on:
+                    obs.tracer.event(
+                        "service.invoke",
+                        instant,
+                        service=reference,
+                        prototype=prototype.name,
+                        outcome="memo_hit",
+                    )
+                return list(cached)
         subs = self.substitutions
         if subs.bindings:
             binding = subs.bindings.get((prototype.name, reference))
@@ -349,8 +456,7 @@ class ServiceRegistry:
                 # binding is frozen for the instant, so the §3.2
                 # determinism argument carries over unchanged).
                 results = self._invoke_binding(binding, prototype, inputs, instant)
-                if obs.metrics_on:
-                    self._outcome_substituted.inc()
+                tally.substituted += 1
                 if obs.tracing_on:
                     obs.tracer.event(
                         "service.invoke",
@@ -363,14 +469,14 @@ class ServiceRegistry:
                 if key is not None and self._memo is not None:
                     self._memo[key] = list(results)
                 return results
-        refused = self.health.check(reference, instant)
+        health = self.health
+        refused = health.check(reference, instant)
         if refused is not None:
             # The policy fails the invocation fast: the device is not
             # contacted and the health state machine does not move.
             reason, retry_at = refused
-            self.health.record_fast_failure(reference)
-            if obs.metrics_on:
-                self._outcome_fast_failed.inc()
+            health.record_fast_failure(reference)
+            tally.fast_failed += 1
             if obs.tracing_on:
                 obs.tracer.event(
                     "service.invoke",
@@ -380,32 +486,35 @@ class ServiceRegistry:
                     outcome="fast_failed",
                     reason=reason,
                 )
-            fallback = self._failover(prototype, reference, inputs, instant, key)
+            fallback = self._failover(prototype, reference, inputs, instant, key, tally)
             if fallback is not None:
                 return fallback
             raise ServiceUnavailableError(reference, reason, retry_at)
-        state_before = self.health.state(reference) if obs.metrics_on else None
-        self._invocations_total.inc()
+        state_before = health.state(reference) if obs.metrics_on else None
+        tally.contacted += 1
         started = perf_counter()
         try:
             rows = handler(dict(inputs), instant)
         except Exception as exc:
-            self.health.record_failure(reference, instant)
-            self._invoke_failed(prototype, reference, instant, state_before)
-            fallback = self._failover(prototype, reference, inputs, instant, key)
+            health.record_failure(reference, instant)
+            self._invoke_failed(prototype, reference, instant, state_before, tally)
+            fallback = self._failover(prototype, reference, inputs, instant, key, tally)
             if fallback is not None:
                 return fallback
             raise InvocationError(
                 f"invocation of {prototype.name!r} on {reference!r} failed: {exc}"
             ) from exc
+        output_schema = prototype.output_schema
         results = []
         for row in rows:
             try:
-                results.append(prototype.output_schema.tuple_from_mapping(row))
+                results.append(output_schema.tuple_from_mapping(row))
             except SchemaError as exc:
-                self.health.record_failure(reference, instant)
-                self._invoke_failed(prototype, reference, instant, state_before)
-                fallback = self._failover(prototype, reference, inputs, instant, key)
+                health.record_failure(reference, instant)
+                self._invoke_failed(prototype, reference, instant, state_before, tally)
+                fallback = self._failover(
+                    prototype, reference, inputs, instant, key, tally
+                )
                 if fallback is not None:
                     return fallback
                 raise InvocationError(
@@ -413,11 +522,10 @@ class ServiceRegistry:
                     f"returned an invalid output tuple {row!r}: {exc}"
                 ) from exc
         self._observe_latency(reference, perf_counter() - started)
-        self.health.record_success(reference, instant)
+        health.record_success(reference, instant)
         if state_before is not None:
             self._health_transition(reference, state_before)
-        if obs.metrics_on:
-            self._outcome_success.inc()
+        tally.success += 1
         if obs.tracing_on:
             obs.tracer.event(
                 "service.invoke",
@@ -430,6 +538,25 @@ class ServiceRegistry:
         if key is not None and self._memo is not None:
             self._memo[key] = list(results)  # successes only
         return results
+
+    def _count(self, tally: _Tally) -> None:
+        """Add the outcome counts of one call or batch to the counters."""
+        if tally.contacted:
+            self._invocations_total.inc(tally.contacted)
+        if tally.memo_hit:
+            self._memo_hits_total.inc(tally.memo_hit)
+        if tally.failovers:
+            self._failovers_total.inc(tally.failovers)
+        if self.obs.metrics_on:
+            for counter, count in (
+                (self._outcome_success, tally.success),
+                (self._outcome_memo_hit, tally.memo_hit),
+                (self._outcome_fast_failed, tally.fast_failed),
+                (self._outcome_failed, tally.failed),
+                (self._outcome_substituted, tally.substituted),
+            ):
+                if count:
+                    counter.inc(count)
 
     # -- substitution (semantic rebinding) -----------------------------------
 
@@ -492,6 +619,7 @@ class ServiceRegistry:
         inputs: Mapping[str, object],
         instant: int,
         key: tuple | None,
+        tally: _Tally,
     ) -> list[tuple] | None:
         """Answer a failed invocation from the pre-scored failover table.
 
@@ -514,7 +642,7 @@ class ServiceRegistry:
                 results = self._invoke_binding(plan, prototype, inputs, instant)
             except ServiceError:
                 continue
-            self._failovers_total.inc()
+            tally.failovers += 1
             if obs.tracing_on:
                 obs.tracer.event(
                     "substitution.failover",
@@ -573,12 +701,12 @@ class ServiceRegistry:
         reference: str,
         instant: int,
         state_before: HealthState | None,
+        tally: _Tally,
     ) -> None:
         obs = self.obs
         if state_before is not None:
             self._health_transition(reference, state_before)
-        if obs.metrics_on:
-            self._outcome_failed.inc()
+        tally.failed += 1
         if obs.tracing_on:
             obs.tracer.event(
                 "service.invoke",

@@ -15,7 +15,7 @@ from typing import Any
 
 from repro.errors import TypingError
 
-__all__ = ["DataType", "validate_value", "coerce_value"]
+__all__ = ["DataType", "EXACT_TYPES", "validate_value", "coerce_value"]
 
 
 class DataType(enum.Enum):
@@ -49,6 +49,23 @@ _PYTHON_TYPES: dict[DataType, tuple[type, ...]] = {
     DataType.BLOB: (bytes,),
     DataType.SERVICE: (str,),
     DataType.TIMESTAMP: (int,),
+}
+
+
+#: The one Python type each domain stores its values as.  A value whose
+#: ``type()`` is exactly this type is in the domain and :func:`coerce_value`
+#: returns it unchanged, so schemas accept it without calling
+#: :func:`coerce_value`; every other value (a ``bool`` offered as INTEGER,
+#: an ``int`` offered as REAL, a ``str`` subclass, ...) still takes
+#: :func:`coerce_value`, which keeps results and errors identical.
+EXACT_TYPES: dict[DataType, type] = {
+    DataType.STRING: str,
+    DataType.INTEGER: int,
+    DataType.REAL: float,
+    DataType.BOOLEAN: bool,
+    DataType.BLOB: bytes,
+    DataType.SERVICE: str,
+    DataType.TIMESTAMP: int,
 }
 
 

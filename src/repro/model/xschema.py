@@ -25,8 +25,8 @@ from repro.errors import (
 )
 from repro.model.attributes import Attribute
 from repro.model.binding import BindingPattern
-from repro.model.schema import RelationSchema
-from repro.model.types import DataType, coerce_value
+from repro.model.schema import RelationSchema, values_getter
+from repro.model.types import EXACT_TYPES, DataType, coerce_value
 
 __all__ = ["ExtendedRelationSchema"]
 
@@ -61,6 +61,8 @@ class ExtendedRelationSchema:
         "_binding_patterns",
         "_real_positions",
         "_real_attributes",
+        "_exact_types",
+        "_values_of",
     )
 
     def __init__(
@@ -100,6 +102,10 @@ class ExtendedRelationSchema:
         self._virtual = virtual_set
         self._real_positions = real_positions
         self._real_attributes = tuple(real_attributes)
+        # The compiled check of validate_tuple/tuple_from_mapping (see
+        # EXACT_TYPES): one exact type per real attribute.
+        self._exact_types = tuple(EXACT_TYPES[a.dtype] for a in real_attributes)
+        self._values_of = values_getter(tuple(real_positions))
 
         bps = tuple(binding_patterns)
         for bp in bps:
@@ -264,6 +270,17 @@ class ExtendedRelationSchema:
         Virtual attributes must be absent (they have no value); missing real
         attributes raise.  Values are coerced into their domains.
         """
+        if type(mapping) is dict and len(mapping) == len(self._real_attributes):
+            # Fast path: exactly the real attributes as keys (len plus
+            # every lookup succeeding) and every value of its domain's
+            # exact type.
+            try:
+                values = self._values_of(mapping)
+            except KeyError:
+                pass
+            else:
+                if tuple(map(type, values)) == self._exact_types:
+                    return values
         virtual_given = set(mapping) & self._virtual
         if virtual_given:
             raise VirtualAttributeError(
@@ -299,6 +316,8 @@ class ExtendedRelationSchema:
                 f"tuple of length {len(values)} does not fit the real schema "
                 f"of {self.name!r} (|realSchema| = {len(self._real_attributes)})"
             )
+        if type(values) is tuple and tuple(map(type, values)) == self._exact_types:
+            return values
         return tuple(
             coerce_value(v, a.dtype) for a, v in zip(self._real_attributes, values)
         )

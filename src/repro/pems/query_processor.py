@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.algebra.query import Query, QueryResult
@@ -68,6 +68,13 @@ class DiscoveryQuery:
     relation_name: str
     service_attribute: str
     row_builder: RowBuilder | None = None
+    #: Reference → the row this query wrote for it.
+    tracked: dict[str, tuple] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: The registry's ``topology_version`` at the last sync (None: never
+    #: synced).  The providers only change when it moves.
+    synced_version: int | None = field(default=None, repr=False, compare=False)
 
     def build_row(self, service: Service, schema) -> dict[str, object]:
         if self.row_builder is not None:
@@ -151,7 +158,6 @@ class QueryProcessor:
         #: deregister time instead of re-sorting every tick.
         self._order: list[str] = []
         self._discovery: list[DiscoveryQuery] = []
-        self._rows_by_service: dict[tuple[str, str], tuple] = {}
         self._failures: deque[QueryFailure] = deque(maxlen=FAILURE_LOG_SIZE)
         #: Opt-in feedback re-optimizer (see :meth:`enable_reoptimization`).
         self.reoptimizer: FeedbackReoptimizer | None = None
@@ -332,29 +338,29 @@ class QueryProcessor:
 
         All appeared rows land in a single journal insert, all departed
         rows in a single delete — one write batch per relation per tick.
+        A tick on which the registry's membership did not move costs O(1).
         """
+        version = self.erm.registry.topology_version
+        if discovery.synced_version == version:
+            return
         prototype = self.environment.prototype(discovery.prototype_name)
         schema = self.environment.schema(discovery.relation_name)
         available = {s.reference: s for s in self.erm.available(prototype)}
-        tracked = {
-            ref: row
-            for (rel, ref), row in self._rows_by_service.items()
-            if rel == discovery.relation_name
-        }
+        tracked = discovery.tracked
         appeared: list[tuple] = []
-        for reference in sorted(set(available) - set(tracked)):
+        for reference in sorted(available.keys() - tracked.keys()):
             row = discovery.build_row(available[reference], schema)
             values = schema.tuple_from_mapping(row)
             appeared.append(values)
-            self._rows_by_service[(discovery.relation_name, reference)] = values
+            tracked[reference] = values
         departed: list[tuple] = []
-        for reference in sorted(set(tracked) - set(available)):
-            departed.append(tracked[reference])
-            del self._rows_by_service[(discovery.relation_name, reference)]
+        for reference in sorted(tracked.keys() - available.keys()):
+            departed.append(tracked.pop(reference))
         if appeared:
             self.tables.insert_tuples(discovery.relation_name, appeared)
         if departed:
             self.tables.delete_tuples(discovery.relation_name, departed)
+        discovery.synced_version = version
 
     # -- the tick loop ---------------------------------------------------------------------
 

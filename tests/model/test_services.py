@@ -1,15 +1,29 @@
 """Tests for services and the invocation function (Definition 1)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.devices.prototypes import GET_TEMPERATURE, SEND_MESSAGE
+from repro.devices.faults import FaultInjector, FaultScript
+from repro.devices.prototypes import (
+    GET_ENV_READING,
+    GET_TEMPERATURE,
+    SEND_MESSAGE,
+    STANDARD_PROTOTYPES,
+)
+from repro.devices.scenario import temperatures_schema
+from repro.devices.sensors import SensorStreamFeeder, TemperatureSensor
 from repro.errors import (
     InvocationError,
     PrototypeNotImplementedError,
     SchemaError,
+    ServiceError,
     UnknownServiceError,
 )
+from repro.model.invocation_policy import InvocationPolicy
 from repro.model.services import Service, ServiceRegistry
+from repro.model.substitution import SubstitutionRule
+from repro.pems.pems import PEMS
 
 
 def ok_sender(inputs, instant):
@@ -171,3 +185,256 @@ class TestInvocation:
         assert registry.invocation_count == 2
         registry.reset_invocation_count()
         assert registry.invocation_count == 0
+
+
+def scan_providers(registry, prototype):
+    """The provider answer by full scan and sort (the index's reference)."""
+    return sorted(
+        (s for s in registry if s.implements(prototype)), key=lambda s: s.reference
+    )
+
+
+def assert_index_fresh(registry):
+    for prototype in (GET_TEMPERATURE, SEND_MESSAGE):
+        got = registry.providers(prototype)
+        expected = scan_providers(registry, prototype)
+        assert [id(s) for s in got] == [id(s) for s in expected]
+
+
+class TestProviderIndex:
+    def test_register_and_unregister(self):
+        registry = ServiceRegistry()
+        assert_index_fresh(registry)
+        for ref in ("t2", "t1", "t3"):
+            registry.register(Service(ref, {GET_TEMPERATURE: thermometer(1.0)}))
+            assert_index_fresh(registry)
+        registry.register(Service("mail", {SEND_MESSAGE: ok_sender}))
+        assert_index_fresh(registry)
+        registry.unregister("t1")
+        assert_index_fresh(registry)
+        registry.unregister("ghost")
+        assert_index_fresh(registry)
+        assert [s.reference for s in registry.providers(GET_TEMPERATURE)] == [
+            "t2",
+            "t3",
+        ]
+
+    def test_reregistering_another_object_under_a_reference(self):
+        registry = ServiceRegistry()
+        registry.register(Service("t1", {GET_TEMPERATURE: thermometer(1.0)}))
+        assert_index_fresh(registry)
+        replacement = Service("t1", {SEND_MESSAGE: ok_sender})
+        registry.register(replacement)
+        assert_index_fresh(registry)
+        assert registry.providers(GET_TEMPERATURE) == []
+        assert registry.providers(SEND_MESSAGE) == [replacement]
+        same = Service("t1", {GET_TEMPERATURE: thermometer(2.0)})
+        registry.register(same)
+        registry.register(same)  # idempotent: no topology change
+        assert registry.providers(GET_TEMPERATURE) == [same]
+        assert_index_fresh(registry)
+
+    def test_mutating_the_returned_list_leaves_the_index_intact(self):
+        registry = ServiceRegistry()
+        for ref in ("t1", "t2"):
+            registry.register(Service(ref, {GET_TEMPERATURE: thermometer(1.0)}))
+        first = registry.providers(GET_TEMPERATURE)
+        first.clear()
+        second = registry.providers(GET_TEMPERATURE)
+        assert second is not first
+        second.append(Service("intruder", {GET_TEMPERATURE: thermometer(0.0)}))
+        second.reverse()
+        assert_index_fresh(registry)
+
+    def test_quarantine_park_and_readmit(self):
+        """The core ERM parks a quarantined sensor out of the registry and
+        readmits it after the backoff; the index follows both moves."""
+        pems = PEMS(policy=InvocationPolicy(failure_threshold=1, quarantine_backoff=3))
+        for prototype in STANDARD_PROTOTYPES:
+            pems.environment.declare_prototype(prototype)
+        pems.tables.create_relation(temperatures_schema(), infinite=True)
+        field = pems.create_local_erm("field")
+        field.register(TemperatureSensor("s1", "office").as_service())
+        faulty = FaultInjector(
+            TemperatureSensor("s2", "kitchen").as_service(),
+            FaultScript(crash_windows=((3, 5),)),
+            seed="index",
+        )
+        field.register(faulty.as_service())
+        registry = pems.environment.registry
+        pems.add_stream_source(
+            SensorStreamFeeder(
+                registry, lambda rows: pems.tables.insert("temperatures", rows)
+            )
+        )
+        seen = []
+        for _ in range(12):
+            pems.tick()
+            assert_index_fresh(registry)
+            seen.append(
+                (
+                    [s.reference for s in registry.providers(GET_TEMPERATURE)],
+                    pems.erm.parked,
+                )
+            )
+        assert (["s1"], frozenset({"s2"})) in seen
+        assert seen[-1] == (["s1", "s2"], frozenset())
+
+
+def fleet(calls: Counter) -> ServiceRegistry:
+    """A traced registry under a fault policy: a steady sensor, one that
+    crashes at 2 (then quarantined, backed off and re-probed), one that
+    flickers, one answering an invalid row, one durably bound to a spare
+    by a ``specializes`` binding, and one failing from 1 on that a
+    failover plan serves from the same spare.  ``calls`` counts device
+    contacts per reference."""
+    registry = ServiceRegistry(
+        policy=InvocationPolicy(backoff=1, failure_threshold=2, quarantine_backoff=3),
+        observe="full",
+    )
+
+    def device(reference, fails=lambda instant: False, row=None):
+        def read(inputs, instant):
+            calls[reference] += 1
+            if fails(instant):
+                raise RuntimeError(f"{reference} is down")
+            return [row or {"temperature": float(len(reference) + instant)}]
+
+        return read
+
+    for reference, read in (
+        ("steady", device("steady")),
+        ("crash", device("crash", lambda instant: instant >= 2)),
+        ("flicker", device("flicker", lambda instant: instant % 3 == 1)),
+        ("garbled", device("garbled", row={"temperature": "hot"})),
+        ("bound", device("bound")),
+        ("covered", device("covered", lambda instant: instant >= 1)),
+    ):
+        registry.register(Service(reference, {GET_TEMPERATURE: read}))
+
+    def spare(inputs, instant):
+        calls["spare"] += 1
+        return [{"temperature": 9.5, "humidity": 40.0}]
+
+    registry.register(Service("spare", {GET_ENV_READING: spare}))
+    subs = registry.substitutions
+    subs.declare(
+        SubstitutionRule.specializes(
+            "getTemperature", "spare", "getEnvReading", reference="bound"
+        )
+    )
+    subs.declare(
+        SubstitutionRule.specializes(
+            "getTemperature", "spare", "getEnvReading", reference="covered"
+        )
+    )
+    (binding,) = subs.resolve(registry, GET_TEMPERATURE, "bound")
+    subs.install(binding, 0, "quarantine")
+    subs.failover = {
+        ("getTemperature", "covered"): tuple(
+            subs.resolve(registry, GET_TEMPERATURE, "covered")
+        )
+    }
+    return registry
+
+
+def invoke_each(registry, services, instant):
+    answered = []
+    for service in services:
+        try:
+            rows = registry.invoke(GET_TEMPERATURE, service.reference, {}, instant)
+        except ServiceError:
+            continue
+        answered.append((service, rows))
+    return answered
+
+
+def invoke_batch(registry, services, instant):
+    return list(registry.invoke_many(GET_TEMPERATURE, services, {}, instant))
+
+
+def run_fleet(invoke):
+    """Ten instants of two batches each (the even instants inside the
+    per-instant memo); returns everything the two paths must agree on."""
+    calls = Counter()
+    registry = fleet(calls)
+    answers = []
+    most_contacts = 0
+    for instant in range(10):
+        if instant % 2 == 0:
+            registry.begin_instant_memo(instant)
+        for _ in range(2):
+            before = Counter(calls)
+            services = registry.providers(GET_TEMPERATURE)
+            answers.append(
+                [(s.reference, rows) for s, rows in invoke(registry, services, instant)]
+            )
+            contacts = calls - before
+            most_contacts = max(
+                most_contacts, *(contacts[s.reference] for s in services)
+            )
+        registry.end_instant_memo()
+    counters = {
+        (instrument.name, instrument.labels): instrument.value
+        for instrument in registry.obs.metrics
+        if instrument.kind == "counter"
+    }
+    events = [
+        (span.name, span.instant, span.attributes)
+        for span in registry.obs.tracer.spans
+    ]
+    return answers, registry.health.snapshot(), counters, events, calls, most_contacts
+
+
+class TestInvokeMany:
+    def test_batch_equals_per_call_invoke(self):
+        each = run_fleet(invoke_each)
+        batch = run_fleet(invoke_batch)
+        answers, health, counters, events, calls, most_contacts = batch
+        assert answers == each[0]
+        assert health == each[1]
+        assert counters == each[2]
+        assert events == each[3]
+        assert calls == each[4]
+        assert most_contacts == 1  # no batch member is contacted twice
+        # The fleet really exercised every outcome.
+        outcomes = {
+            labels: value
+            for (name, labels), value in counters.items()
+            if name == "serena_invocation_outcomes_total"
+        }
+        assert all(outcomes.values()), outcomes
+        assert counters[("serena_substitution_failovers_total", ())] > 0
+        assert counters[("serena_invocations_total", ())] == sum(
+            count for reference, count in calls.items()
+        )
+
+    def test_mismatched_inputs_contact_nothing(self):
+        calls = Counter()
+        registry = fleet(calls)
+        batch = registry.invoke_many(
+            GET_TEMPERATURE, registry.providers(GET_TEMPERATURE), {"extra": 1}, 0
+        )
+        with pytest.raises(InvocationError, match="do not match"):
+            next(batch)
+        assert not calls
+
+    def test_unknown_and_unimplementing_services_are_left_out(self):
+        registry = ServiceRegistry([Service("t1", {GET_TEMPERATURE: thermometer(3.0)})])
+        ghost = Service("ghost", {GET_TEMPERATURE: thermometer(1.0)})
+        mail = Service("mail", {SEND_MESSAGE: ok_sender})
+        registry.register(mail)
+        t1 = registry.get("t1")
+        batch = registry.invoke_many(GET_TEMPERATURE, [ghost, mail, t1], {}, 0)
+        assert list(batch) == [(t1, [(3.0,)])]
+
+    def test_abandoned_batch_still_counts(self):
+        registry = ServiceRegistry(
+            [Service(ref, {GET_TEMPERATURE: thermometer(1.0)}) for ref in ("a", "b")]
+        )
+        batch = registry.invoke_many(
+            GET_TEMPERATURE, registry.providers(GET_TEMPERATURE), {}, 0
+        )
+        assert next(batch)[0].reference == "a"
+        batch.close()
+        assert registry.invocation_count == 1
