@@ -7,8 +7,9 @@ registers a standing pack of fleet-wide continuous queries over them.
 Everything is pure in ``(config, seed, instant)``: the same
 :class:`~repro.city.config.CityConfig` yields byte-identical topologies,
 fault schedules and 55-tick query output in any process, so the
-multi-engine differential machinery pins naive/incremental/shared/
-columnar and the sharded federation tuple-identical on a sampled city.
+multi-engine differential machinery pins the shared engine (row and
+columnar backends) and the sharded federation tuple-identical to the
+naive oracle on a sampled city.
 
 Modules
 -------

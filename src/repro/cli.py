@@ -452,7 +452,7 @@ class SerenaShell:
         )
 
         name, _, engine = argument.partition(" ")
-        engine = engine.strip() or "incremental"
+        engine = engine.strip() or "shared"
         if name == "temperature":
             self._scenario = build_temperature_surveillance(engine=engine)
         elif name == "substitution":
@@ -513,7 +513,7 @@ class SerenaShell:
         except OSError as exc:
             self._print(f"error: cannot read {path!r} — {exc}")
             return
-        engine = engine.strip() or "incremental"
+        engine = engine.strip() or "shared"
         self._scenario = build_city(config, engine=engine)
         self.pems = self._scenario.pems
         topology = self._scenario.topology

@@ -181,7 +181,7 @@ class XDRelation:
 
         Each entry is ``(instant, inserted, deleted)`` with snapshot copies
         of the per-instant delta sets.  This is the journaled-leaf fast
-        path of the incremental execution engine
+        path of the physical execution engine
         (:mod:`repro.exec`): a scan over this relation reads the exact
         deltas between two evaluation instants instead of diffing whole
         materializations.  Entries are snapshots, so a caller may hold

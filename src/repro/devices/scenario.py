@@ -44,6 +44,7 @@ from repro.devices.sensors import (
     SensorStreamFeeder,
     TemperatureSensor,
 )
+from repro.fed.pems import make_pems
 from repro.model.attributes import Attribute
 from repro.model.binding import BindingPattern
 from repro.model.invocation_policy import InvocationPolicy
@@ -52,34 +53,6 @@ from repro.model.types import DataType
 from repro.model.xschema import ExtendedRelationSchema
 from repro.pems.pems import PEMS
 
-
-#: Zone count used by the ``federated*`` scenario engines.
-FEDERATED_ZONES = 4
-
-
-def _make_pems(engine: str, policy, observe) -> PEMS:
-    """The PEMS behind a scenario ``engine`` string.
-
-    The ``federated``, ``federated-threads`` and ``federated-processes``
-    engines build a :class:`~repro.fed.pems.FederatedPEMS` (4 zones,
-    shared-engine queries over scattered shards); every other value is a
-    query-engine name passed through to a plain :class:`PEMS`.
-    """
-    if engine.startswith("federated"):
-        from repro.fed.pems import FederatedPEMS  # fed layers on devices' deps
-
-        parallelism = {
-            "federated": None,
-            "federated-threads": "threads",
-            "federated-processes": "processes",
-        }[engine]
-        return FederatedPEMS(
-            zones=FEDERATED_ZONES,
-            policy=policy,
-            observe=observe,
-            parallelism=parallelism,
-        )
-    return PEMS(engine=engine, policy=policy, observe=observe)
 
 __all__ = [
     "Scenario",
@@ -305,13 +278,14 @@ def build_temperature_surveillance(
     photo_threshold: float = 12.0,
     messenger_failure_rate: float = 0.0,
     with_photo_messages: bool = False,
-    engine: str = "incremental",
+    engine: str = "shared",
     policy: InvocationPolicy | None = None,
     sensor_faults: dict[str, FaultScript] | None = None,
     fault_seed: object = "chaos",
     observe: object = None,
     spare_sensors: tuple[tuple[str, str, float], ...] = (),
     substitutions: tuple[SubstitutionRule, ...] = (),
+    backend: str = "row",
 ) -> Scenario:
     """Assemble the full temperature surveillance environment.
 
@@ -332,9 +306,12 @@ def build_temperature_surveillance(
     ``sendPhotoMessage`` (the photo realized by ``takePhoto`` flows into
     the contacts binding pattern through the join's implicit realization).
 
-    ``engine`` selects the continuous-query execution engine and
-    ``policy`` the fault-tolerance invocation policy (see
-    :class:`~repro.pems.pems.PEMS`).  ``sensor_faults`` maps sensor
+    ``engine`` is a scenario engine name (see
+    :func:`~repro.fed.pems.make_pems`: ``naive``, ``shared``, or a
+    4-zone ``federated`` / ``federated-processes`` federation),
+    ``backend`` the physical delta representation (``row`` /
+    ``columnar``) and ``policy`` the fault-tolerance invocation policy
+    (see :class:`~repro.pems.pems.PEMS`).  ``sensor_faults`` maps sensor
     references to :class:`~repro.devices.faults.FaultScript`\\ s: those
     sensors are wrapped in a :class:`~repro.devices.faults.FaultInjector`
     (seeded with ``fault_seed``) before registration, so the scripted
@@ -349,7 +326,7 @@ def build_temperature_surveillance(
     (``FaultScript(crash_at=...)``) exercises the full semantic-rebinding
     path: quarantine → sticky rebind → projected spare readings.
     """
-    pems = _make_pems(engine, policy, observe)
+    pems = make_pems(engine, policy, observe, backend)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)
@@ -495,9 +472,10 @@ def build_rss_scenario(
     recipient: str = "Carla",
     with_queries: bool = True,
     seed: int = 0,
-    engine: str = "incremental",
+    engine: str = "shared",
     policy: InvocationPolicy | None = None,
     observe: object = None,
+    backend: str = "row",
 ) -> Scenario:
     """Assemble the RSS experiment: feeds → news stream → keyword query.
 
@@ -506,10 +484,10 @@ def build_rss_scenario(
     ``keyword``; the ``news-alerts`` query forwards each matching headline
     once to ``recipient`` via their messenger.
 
-    ``engine`` selects the continuous-query execution engine (see
-    :class:`~repro.pems.pems.PEMS`).
+    ``engine`` and ``backend`` select the PEMS as in
+    :func:`build_temperature_surveillance`.
     """
-    pems = _make_pems(engine, policy, observe)
+    pems = make_pems(engine, policy, observe, backend)
     env = pems.environment
     for prototype in STANDARD_PROTOTYPES:
         env.declare_prototype(prototype)

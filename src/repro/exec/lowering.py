@@ -8,7 +8,7 @@ executor (:mod:`repro.exec.executors`).
 Lowering is *total*: a logical operator with no registered executor is
 wrapped in a :class:`~repro.exec.executors.FallbackExec`, which evaluates
 that whole subtree with the naive engine each tick and diffs the results
-— new logical operators keep working on the incremental engine, merely
+— new logical operators keep working on the physical engine, merely
 without the delta speedup.  :func:`supported_operator` reports whether a
 node has a native incremental executor, which the cost model uses to
 decide whether a plan's steady-state tick cost scales with deltas or with

@@ -11,9 +11,9 @@ module provides:
   subtree once and hands the **same executor instance** to every query
   whose plan contains it, with refcounting so deregistration releases
   state exactly when the last owner leaves;
-* :class:`SharedEngine` — the per-query driver: the drop-in counterpart of
-  :class:`~repro.exec.engine.IncrementalEngine` whose physical plan is
-  acquired from a registry instead of lowered privately.
+* :class:`SharedEngine` — the per-query driver: it acquires the query's
+  physical plan from a registry (a private one when none is passed),
+  advances it instant by instant and materializes the root.
 
 What may be shared
 ------------------
@@ -324,10 +324,17 @@ class SharedPlan:
 
 class SharedEngine:
     """Delta-driven execution of one continuous query over a shared
-    physical plan — same contract as
-    :class:`~repro.exec.engine.IncrementalEngine`.
+    physical plan.
 
-    The only behavioural addition is the first tick over a *warm* root
+    Each tick builds the evaluation context (with a persistent state store
+    for naive-evaluated fallback subtrees), advances the executor tree and
+    materializes a :class:`~repro.algebra.query.QueryResult` — the same
+    product as the naive re-evaluating engine.  Materialization is itself
+    incremental: the root's relation is rebuilt only on ticks where the
+    root's delta is non-empty; unchanged ticks return the cached
+    X-Relation in O(1).
+
+    The one special case is the first tick over a *warm* root
     (the whole plan was already running for other queries): the engine
     then materializes the root's fresh view and reports it as the initial
     insertion delta, which is exactly what a freshly built plan would

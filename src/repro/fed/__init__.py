@@ -10,15 +10,17 @@ gossip relay between bus segments.
 
 Phase 1 runs every shard in deterministic lockstep on the shared
 virtual clock — tuple-identical to the ``shared`` engine.  Phase 2 is
-the opt-in parallel shard executor (``parallelism="threads"`` or
-``"processes"``) with a per-tick barrier that preserves determinism.
+the opt-in process-parallel shard executor
+(``parallelism="processes"``) with a per-tick barrier that preserves
+determinism.  :func:`make_pems` maps a scenario engine name to a plain
+or federated PEMS.
 """
 
 from repro.fed.gather import GatherExec
 from repro.fed.gossip import GossipRelay
 from repro.fed.hashing import HashRing
 from repro.fed.local_erm import FederatedLocalERM
-from repro.fed.pems import FederatedPEMS
+from repro.fed.pems import FederatedPEMS, make_pems
 from repro.fed.query_processor import FederatedQueryProcessor
 from repro.fed.registry import FederatedPlanRegistry
 from repro.fed.relation import FederatedRelation
@@ -36,4 +38,5 @@ __all__ = [
     "GossipRelay",
     "HashRing",
     "Zone",
+    "make_pems",
 ]

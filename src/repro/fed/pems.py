@@ -41,7 +41,11 @@ from repro.pems.discovery import DiscoveryBus
 from repro.pems.erm import EnvironmentResourceManager
 from repro.pems.pems import PEMS, StreamSource
 
-__all__ = ["FederatedPEMS"]
+__all__ = ["SCENARIO_ENGINES", "FederatedPEMS", "make_pems"]
+
+#: The engine names scenario builders and the CLI accept (see
+#: :func:`make_pems`).
+SCENARIO_ENGINES = ("naive", "shared", "federated", "federated-processes")
 
 
 class FederatedPEMS(PEMS):
@@ -53,8 +57,8 @@ class FederatedPEMS(PEMS):
         Zone count (named ``zone-0`` … ``zone-N``) or an iterable of zone
         names.
     parallelism:
-        Shard execution mode: ``None`` (lockstep, default), ``"threads"``
-        or ``"processes"`` — see
+        Shard execution mode: ``None`` (lockstep, default) or
+        ``"processes"`` — see
         :class:`~repro.fed.query_processor.FederatedQueryProcessor`.
     partition_by:
         Relation name → partition attribute, overriding the default
@@ -160,11 +164,11 @@ class FederatedPEMS(PEMS):
         }
 
     def shutdown(self) -> None:
-        """Stop shard workers/threads (idempotent; lockstep is a no-op)."""
+        """Stop shard workers (idempotent; lockstep is a no-op)."""
         self.queries.shutdown()
 
     def close(self) -> None:
-        """Full teardown (idempotent): stop shard workers/threads *and*
+        """Full teardown (idempotent): stop shard workers *and*
         detach the gossip relay from every zone bus segment, so no relay
         callback outlives the federation.  The subscription server's
         shutdown path calls this."""
@@ -179,3 +183,37 @@ class FederatedPEMS(PEMS):
             f"services={len(self.environment.registry)}, "
             f"relations={len(self.environment.relation_names)})"
         )
+
+
+def make_pems(
+    engine: str,
+    policy: InvocationPolicy | None = None,
+    observe: "Observability | str | None" = None,
+    backend: str = "row",
+    zones: int | list[str] | tuple[str, ...] = 4,
+    partition_by: Mapping[str, str] | None = None,
+) -> PEMS:
+    """The PEMS behind a scenario ``engine`` name.
+
+    ``naive`` and ``shared`` build a plain :class:`PEMS` running that
+    query engine; ``federated`` builds a lockstep :class:`FederatedPEMS`
+    over ``zones`` and ``federated-processes`` one whose shards run in
+    forked worker processes.  ``zones`` and ``partition_by`` only apply
+    to the federation.  Any other name raises :class:`SerenaError`
+    listing :data:`SCENARIO_ENGINES`.
+    """
+    if engine not in SCENARIO_ENGINES:
+        raise SerenaError(
+            f"unknown engine {engine!r} (expected one of "
+            f"{', '.join(SCENARIO_ENGINES)})"
+        )
+    if not engine.startswith("federated"):
+        return PEMS(engine=engine, policy=policy, observe=observe, backend=backend)
+    return FederatedPEMS(
+        zones=zones,
+        policy=policy,
+        observe=observe,
+        backend=backend,
+        parallelism="processes" if engine == "federated-processes" else None,
+        partition_by=partition_by,
+    )

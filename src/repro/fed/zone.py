@@ -16,9 +16,8 @@ A zone owns
   are shared across all coordinator queries that lease them.
 
 ``advance`` ticks every registered shard executor at an instant with a
-per-instant memoized context; the parallel shard executor calls it from
-worker threads (zone state is zone-confined, so zones advance
-concurrently without locks) or from forked worker processes, where
+per-instant memoized context; the lockstep barrier calls it on the
+coordinator, the process barrier from forked worker processes, where
 ``apply_slices`` first replays the coordinator's partition writes into
 the worker's journal replicas.
 """

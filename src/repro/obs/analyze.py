@@ -160,7 +160,7 @@ def render_analyze(continuous: "ContinuousQuery") -> str:
     if not rows:
         return (
             "(no physical plan — the naive engine re-evaluates the logical "
-            "tree; register with engine='incremental' or 'shared')"
+            "tree; register with engine='shared')"
         )
     header = [
         f"EXPLAIN ANALYZE {continuous.query.name or '(unnamed query)'}"

@@ -43,10 +43,11 @@ class PEMS:
     ``engine`` selects the execution engine for continuous queries
     registered through the query processor — ``"shared"`` (default:
     incremental execution with cross-query subplan sharing and the
-    quiescence-aware tick scheduler), ``"incremental"``, ``"columnar"``
-    or ``"naive"`` (see :mod:`repro.continuous.continuous_query`);
-    ``backend`` ("row"/"columnar") selects the physical delta
-    representation the plans lower to.
+    quiescence-aware tick scheduler) or ``"naive"`` (see
+    :mod:`repro.continuous.continuous_query`); ``backend``
+    ("row"/"columnar") selects the physical delta representation the
+    plans lower to.  An unknown engine name raises
+    :class:`~repro.errors.SerenaError` at construction.
 
     ``policy`` sets the fault-tolerance :class:`InvocationPolicy` on the
     service registry (retry backoff, quarantine threshold); the default

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.algebra.query import Query, QueryResult
-from repro.continuous.continuous_query import ContinuousQuery
+from repro.continuous.continuous_query import ContinuousQuery, check_engine
 from repro.continuous.time import VirtualClock
 from repro.errors import SerenaError, UnknownAttributeError
 from repro.exec.reoptimizer import FeedbackReoptimizer
@@ -102,16 +102,12 @@ class QueryProcessor:
         Execution engine for registered continuous queries:
         ``"shared"`` (default — the delta-driven physical engine of
         :mod:`repro.exec` with cross-query subplan sharing and the
-        quiescence-aware tick scheduler), ``"incremental"`` (the same
-        physical engine, one private plan per query, every query
-        evaluated every tick), ``"columnar"`` (incremental with the
-        columnar backend) or ``"naive"`` (full re-evaluation each tick,
-        the differential-testing oracle).
+        quiescence-aware tick scheduler) or ``"naive"`` (full
+        re-evaluation each tick, the differential-testing oracle).
     backend:
         Physical representation the processor's plans lower to — ``"row"``
         or ``"columnar"``.  The shared-plan registry is built with this
-        backend, so it applies to every ``engine="shared"`` query; it is
-        also the default for per-query incremental plans.
+        backend, so it applies to every physical query.
     """
 
     def __init__(
@@ -128,8 +124,8 @@ class QueryProcessor:
         self.clock = clock
         self.erm = erm
         self.tables = tables
-        self.engine = engine
-        self.backend = "columnar" if engine == "columnar" else backend
+        self.engine = check_engine(engine)
+        self.backend = backend
         #: Observability facade shared across the processor, its scheduler,
         #: shared-plan registry and every registered query's engine.
         self.obs = (
@@ -145,12 +141,12 @@ class QueryProcessor:
             "serena_queries_registered",
             "Continuous queries currently registered with the processor",
         )
-        #: Shared-subplan registry for engine="shared" queries: one per
+        #: Shared-subplan registry for the physical queries: one per
         #: processor, so co-registered queries share physical subtrees.
         #: Subclasses override :meth:`_make_registry` to substitute a
         #: registry with different lowering behaviour (federation).
         self.shared = self._make_registry(environment)
-        #: Quiescence-aware scheduler for engine="shared" queries.
+        #: Quiescence-aware scheduler for the physical queries.
         self.scheduler = TickScheduler(environment, observe=self.obs)
         erm.on_discovery(self.scheduler.on_discovery_event)
         self._continuous: dict[str, ContinuousQuery] = {}
@@ -213,7 +209,6 @@ class QueryProcessor:
         name: str | None = None,
         keep_history: bool = False,
         engine: str | None = None,
-        backend: str | None = None,
     ) -> ContinuousQuery:
         """Compile a Serena SQL query and register it as continuous."""
         from repro.lang.sql import compile_sql
@@ -223,7 +218,6 @@ class QueryProcessor:
             name,
             keep_history,
             engine,
-            backend,
         )
 
     # -- continuous queries ----------------------------------------------------------
@@ -234,29 +228,25 @@ class QueryProcessor:
         name: str | None = None,
         keep_history: bool = False,
         engine: str | None = None,
-        backend: str | None = None,
     ) -> ContinuousQuery:
         """Register a continuous query, evaluated at every tick from now on.
 
-        ``engine`` and ``backend`` override the processor-wide settings
-        for this query (a ``backend`` override only applies to private
-        plans — ``engine="shared"`` queries run on the processor's
-        registry, whose backend is fixed at construction).
+        ``engine`` overrides the processor-wide engine for this query.
+        Every physical query runs on the processor's shared-plan registry
+        (whose backend is fixed at construction) and is indexed by the
+        tick scheduler.
         """
         key = name or query.name or f"query-{len(self._continuous) + 1}"
         if key in self._continuous:
             raise SerenaError(f"continuous query {key!r} already registered")
-        effective = engine if engine is not None else self.engine
-        if backend is None and effective in ("incremental", "shared"):
-            backend = self.backend
+        effective = self.engine if engine is None else engine
         continuous = ContinuousQuery(
             query,
             self.environment,
             keep_history,
             engine=effective,
-            shared=self.shared if effective == "shared" else None,
+            shared=self.shared,
             observe=self.obs,
-            backend=backend,
         )
         self._continuous[key] = continuous
         insort(self._order, key)

@@ -1,8 +1,8 @@
 """The sampled city pinned across every engine, 55 ticks, cascade on.
 
-The ISSUE 10 acceptance differential: the SMALL_CITY config (2 zones,
-churn, one scripted cascade) runs on naive/incremental/shared/columnar
-and the zone-sharded federation in lockstep; every engine must agree on
+The SMALL_CITY config (2 zones, churn, one scripted cascade) runs on the
+naive oracle, the shared engine on the row and columnar backends and the
+zone-sharded federation in lockstep; every configuration must agree on
 every query's instantaneous result at every instant, on the accumulated
 alert log, and — through the cascade — the ``station-health`` β sweep
 must keep reporting every station with **zero missed readings** (the
@@ -16,9 +16,15 @@ from repro.city.scenario import build_city
 
 TICKS = 55
 
-#: The naive oracle plus every engine it pins down, including the
-#: federation with zones mapped onto shards.
-ENGINES = ("naive", "incremental", "shared", "columnar", "federated")
+#: The naive oracle plus every configuration it pins down — name →
+#: ``(engine, backend)`` — including the federation with zones mapped
+#: onto shards.
+ENGINES = {
+    "naive": ("naive", "row"),
+    "shared": ("shared", "row"),
+    "columnar": ("shared", "columnar"),
+    "federated": ("federated", "row"),
+}
 
 
 def alert_key(log):
@@ -48,20 +54,14 @@ def naive_run():
     return drive("naive")
 
 
-@pytest.mark.parametrize("engine", ENGINES[1:])
+@pytest.mark.parametrize("engine", tuple(ENGINES)[1:])
 def test_city_differential(engine, naive_run):
     naive, naive_snaps, naive_health = naive_run
-    scenario, snaps, health = drive(engine)
+    scenario, snaps, health = drive(*ENGINES[engine])
     for instant, (expected, got) in enumerate(zip(naive_snaps, snaps), start=1):
         assert got == expected, f"{engine} diverges at instant {instant}"
     assert alert_key(scenario.alerts) == alert_key(naive.alerts), engine
     assert health == naive_health, engine
-
-
-def test_columnar_backend_matches_row(naive_run):
-    _, naive_snaps, _ = naive_run
-    _, snaps, _ = drive("shared", backend="columnar")
-    assert snaps == naive_snaps
 
 
 def test_zero_missed_station_readings_through_cascade(naive_run):

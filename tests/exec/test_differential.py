@@ -1,10 +1,11 @@
 """Differential tests: every physical engine vs the naive oracle.
 
 Every Table 4 query plus the Section 5.2 temperature/RSS scenarios run on
-all four engines (naive, incremental, shared, columnar) in lockstep —
-independent but identically-scripted environments, ≥ 50 instants, with
-relation churn and service churn along the way.  At every instant the
-engines must agree on:
+every configuration (the naive oracle, and the shared engine on the row
+and on the columnar backend) in lockstep — independent but
+identically-scripted environments, ≥ 50 instants, with relation churn and
+service churn along the way.  At every instant the configurations must
+agree on:
 
 * the instantaneous result relation,
 * the reported delta (``inserted``/``deleted``),
@@ -35,8 +36,15 @@ from repro.devices.scenario import (
 
 TICKS = 55  # ≥ 50 instants per the acceptance criteria
 
-#: The naive oracle plus every physical engine it pins down.
-ENGINES = ("naive", "incremental", "shared", "columnar")
+#: The naive oracle plus every physical configuration it pins down:
+#: name → ``(engine, backend)``.
+ENGINES = {
+    "naive": ("naive", "row"),
+    "shared": ("shared", "row"),
+    "columnar": ("shared", "columnar"),
+}
+#: The configurations compared against the oracle.
+PHYSICAL = tuple(ENGINES)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +236,21 @@ def action_strings(actions):
     return sorted(a.describe() for a in actions)
 
 
-def run_differential(make_query, scripts, ticks=TICKS, engines=ENGINES):
-    """Run one Table 4 query on every engine over identically-scripted
-    environments; assert instant-by-instant agreement with the oracle."""
+def run_differential(make_query, scripts, ticks=TICKS):
+    """Run one Table 4 query on every configuration over identically-
+    scripted environments; assert instant-by-instant agreement with the
+    oracle."""
     rigs = {}
     queries = {}
-    for engine in engines:
+    for name, (engine, backend) in ENGINES.items():
         rig = Rig()
-        rigs[engine] = rig
-        queries[engine] = ContinuousQuery(
-            make_query(rig.env), rig.env, engine=engine
+        rigs[name] = rig
+        queries[name] = ContinuousQuery(
+            make_query(rig.env), rig.env, engine=engine, backend=backend
         )
     for instant in range(1, ticks + 1):
         per_engine = {}
-        for engine in engines:
+        for engine in ENGINES:
             rig = rigs[engine]
             for script in scripts:
                 script(rig, instant)
@@ -252,13 +261,13 @@ def run_differential(make_query, scripts, ticks=TICKS, engines=ENGINES):
                 frozenset(result.actions),
             )
         naive = per_engine["naive"]
-        for engine in engines[1:]:
+        for engine in PHYSICAL:
             got = per_engine[engine]
             assert got[0] == naive[0], f"{engine} relation differs at {instant}"
             assert got[1] == naive[1], f"{engine} delta differs at {instant}"
             assert got[2] == naive[2], f"{engine} actions differ at {instant}"
     cq_n = queries["naive"]
-    for engine in engines[1:]:
+    for engine in PHYSICAL:
         cq = queries[engine]
         assert sorted(cq.emitted) == sorted(cq_n.emitted), engine
         assert action_strings(cq.actions) == action_strings(cq_n.actions), engine
@@ -286,7 +295,7 @@ def run_differential(make_query, scripts, ticks=TICKS, engines=ENGINES):
 def test_table4_differential(make, scripts):
     queries = run_differential(make, scripts)
     # The scripts must actually produce work, or the test proves nothing.
-    cq = queries["incremental"]
+    cq = queries["shared"]
     assert cq.action_log or cq.emitted or cq.last_result.relation.tuples
 
 
@@ -294,9 +303,9 @@ def test_q4_emits_and_skips_the_ghost_camera():
     """Sanity on the Q4 run: the stream emitted photos and the ghost
     camera never produced one (its invocations failed and were skipped)."""
     queries = run_differential(q4, (feed_stream, ghost_camera_churn))
-    emitted = queries["incremental"].emitted
+    emitted = queries["shared"].emitted
     assert emitted
-    schema = queries["incremental"].query.schema
+    schema = queries["shared"].query.schema
     areas = {schema.mapping_from_tuple(t)["area"] for _, t in emitted}
     assert areas == {"roof"}
 
@@ -306,8 +315,8 @@ def test_q4_emits_and_skips_the_ghost_camera():
 # ---------------------------------------------------------------------------
 
 
-def drive_temperature_scenario(engine):
-    scenario = build_temperature_surveillance(engine=engine)
+def drive_temperature_scenario(engine, backend="row"):
+    scenario = build_temperature_surveillance(engine=engine, backend=backend)
     snapshots = []
     for _ in range(TICKS):
         now = scenario.run(1)
@@ -333,8 +342,8 @@ def drive_temperature_scenario(engine):
 
 def test_temperature_scenario_differential():
     naive, naive_snaps = drive_temperature_scenario("naive")
-    for engine in ENGINES[1:]:
-        run, snaps = drive_temperature_scenario(engine)
+    for engine in PHYSICAL:
+        run, snaps = drive_temperature_scenario(*ENGINES[engine])
         assert snaps == naive_snaps, engine
         for name in naive.queries:
             cq_n, cq = naive.queries[name], run.queries[name]
@@ -351,8 +360,10 @@ def test_temperature_scenario_differential():
     assert naive.queries["cold-photos"].emitted
 
 
-def drive_rss_scenario(engine):
-    scenario = build_rss_scenario(engine=engine, recipient="Francois")
+def drive_rss_scenario(engine, backend="row"):
+    scenario = build_rss_scenario(
+        engine=engine, backend=backend, recipient="Francois"
+    )
     snapshots = []
     for _ in range(TICKS):
         now = scenario.run(1)
@@ -371,8 +382,8 @@ def drive_rss_scenario(engine):
 
 def test_rss_scenario_differential():
     naive, naive_snaps = drive_rss_scenario("naive")
-    for engine in ENGINES[1:]:
-        run, snaps = drive_rss_scenario(engine)
+    for engine in PHYSICAL:
+        run, snaps = drive_rss_scenario(*ENGINES[engine])
         assert snaps == naive_snaps, engine
         for name in naive.queries:
             cq_n, cq = naive.queries[name], run.queries[name]

@@ -20,7 +20,7 @@ from repro.devices.scenario import (
     temperatures_schema,
 )
 from repro.errors import SerenaError
-from repro.exec import EMPTY_DELTA, IncrementalEngine, lower
+from repro.exec import EMPTY_DELTA, SharedEngine, lower
 from repro.model.environment import PervasiveEnvironment
 from repro.model.relation import XRelation
 
@@ -331,10 +331,12 @@ class TestInvocationExec:
 # ---------------------------------------------------------------------------
 
 
-class TestIncrementalEngine:
+class TestStandaloneSharedEngine:
+    """A :class:`SharedEngine` given no registry runs on a private one."""
+
     def test_unchanged_ticks_reuse_the_relation(self):
         env, stored = surveillance_env([ANA])
-        engine = IncrementalEngine(
+        engine = SharedEngine(
             Query(scan(env, "surveillance").node, "q"), env
         )
         r1 = engine.tick(0)
@@ -353,7 +355,7 @@ class TestIncrementalEngine:
             .project("name", "location")
             .query("q")
         )
-        engine = IncrementalEngine(query, env)
+        engine = SharedEngine(query, env)
         for instant in range(6):
             if instant == 2:
                 stored.insert([CY], instant=2)

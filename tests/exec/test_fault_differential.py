@@ -1,5 +1,6 @@
-"""Differential coverage under fault scripts: the naive, incremental,
-shared and columnar engines must agree tick-for-tick while scripted chaos (crash
+"""Differential coverage under fault scripts: the naive oracle and the
+shared engine on the row and columnar backends must agree tick-for-tick
+while scripted chaos (crash
 windows, intermittent errors, malformed outputs, latency spikes) plays
 against the §5.2 surveillance scenario — including its native
 ``messenger_failure_rate`` flakiness.
@@ -13,9 +14,13 @@ from repro.devices.faults import FaultScript
 from repro.devices.scenario import build_temperature_surveillance
 from repro.model.invocation_policy import InvocationPolicy
 
-from tests.exec.test_differential import TICKS, action_strings, outbox_key
-
-ENGINES = ("naive", "incremental", "shared", "columnar")
+from tests.exec.test_differential import (
+    ENGINES,
+    PHYSICAL,
+    TICKS,
+    action_strings,
+    outbox_key,
+)
 
 #: One fault mode per sensor, overlapping the churn script below.
 FAULTS = {
@@ -26,9 +31,10 @@ FAULTS = {
 }
 
 
-def drive_fault_scenario(engine, policy=None):
+def drive_fault_scenario(engine, backend="row", policy=None):
     scenario = build_temperature_surveillance(
         engine=engine,
+        backend=backend,
         messenger_failure_rate=0.2,
         sensor_faults=FAULTS,
         fault_seed="fault-diff",
@@ -83,13 +89,11 @@ def assert_scenarios_agree(reference, others):
 
 
 def test_fault_scenario_differential():
-    """Permissive policy: chaos flows through skip-paths; all four
-    engines agree on every relation, action, alert and failure count."""
-    runs = {engine: drive_fault_scenario(engine) for engine in ENGINES}
-    assert_scenarios_agree(
-        runs["naive"],
-        [runs["incremental"], runs["shared"], runs["columnar"]],
-    )
+    """Permissive policy: chaos flows through skip-paths; every
+    configuration agrees on every relation, action, alert and failure
+    count."""
+    runs = {name: drive_fault_scenario(*ENGINES[name]) for name in ENGINES}
+    assert_scenarios_agree(runs["naive"], [runs[name] for name in PHYSICAL])
     # The chaos had observable consequences (not a vacuous agreement):
     # faults were injected, yet alerts still flowed from healthy sensors.
     assert runs["naive"][0].outbox.messages
@@ -106,13 +110,10 @@ def test_fault_scenario_differential_with_quarantine_policy():
     parking, re-admission) is engine-invariant and must agree too."""
     policy = InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
     runs = {
-        engine: drive_fault_scenario(engine, policy=policy)
-        for engine in ENGINES
+        name: drive_fault_scenario(*ENGINES[name], policy=policy)
+        for name in ENGINES
     }
-    assert_scenarios_agree(
-        runs["naive"],
-        [runs["incremental"], runs["shared"], runs["columnar"]],
-    )
+    assert_scenarios_agree(runs["naive"], [runs[name] for name in PHYSICAL])
     _, snaps = runs["naive"]
     # Quarantines actually happened and were later released.
     assert any(snap["parked"] for snap in snaps)

@@ -59,11 +59,11 @@ def drive(cq, control, items, first, last):
 
 
 class TestSwapPlan:
-    @pytest.mark.parametrize("engine", ["incremental", "shared"])
-    def test_equivalent_swap_preserves_the_two_delta_contract(self, engine):
+    @pytest.mark.parametrize("registry", ["private", "shared"])
+    def test_equivalent_swap_preserves_the_two_delta_contract(self, registry):
         env, items = build_env()
-        shared = SharedPlanRegistry(env) if engine == "shared" else None
-        cq = ContinuousQuery(merged(env), env, engine=engine, shared=shared)
+        shared = SharedPlanRegistry(env) if registry == "shared" else None
+        cq = ContinuousQuery(merged(env), env, shared=shared)
         control = ContinuousQuery(merged(env), env, engine="naive")
         drive(cq, control, items, 1, 3)
         cq.swap_plan(cascaded(env))
@@ -75,7 +75,7 @@ class TestSwapPlan:
 
     def test_first_post_swap_delta_is_netted_not_a_rematerialization(self):
         env, items = build_env()
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         cq.evaluate_at(1)
         assert len(cq.last_result.relation) > 1
         cq.swap_plan(cascaded(env))
@@ -98,7 +98,7 @@ class TestSwapPlan:
     def test_stream_queries_are_not_swappable(self):
         env, _ = build_env()
         query = prefix(env).stream("insertion").query("s")
-        cq = ContinuousQuery(query, env, engine="incremental")
+        cq = ContinuousQuery(query, env)
         assert not cq.swappable
 
     def test_active_binding_patterns_are_not_swappable(self):
@@ -128,12 +128,12 @@ class TestSwapPlan:
         )
         env.add_relation(alarms)
         query = scan(env, "alarms").invoke("siren").query("a")
-        cq = ContinuousQuery(query, env, engine="incremental")
+        cq = ContinuousQuery(query, env)
         assert not cq.swappable
 
     def test_schema_mismatch_is_refused(self):
         env, _ = build_env()
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         narrower = prefix(env).project("item").query("probe")
         with pytest.raises(SerenaError, match="output"):
             cq.swap_plan(narrower)
@@ -143,14 +143,14 @@ class TestSchedulerRefresh:
     def test_refresh_unknown_name_raises(self):
         env, _ = build_env()
         scheduler = TickScheduler(env)
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         with pytest.raises(SerenaError):
             scheduler.refresh("ghost", cq)
 
     def test_refreshed_query_is_fresh_again(self):
         env, items = build_env()
         scheduler = TickScheduler(env)
-        cq = ContinuousQuery(merged(env), env, engine="incremental")
+        cq = ContinuousQuery(merged(env), env)
         scheduler.register("probe", cq)
         assert "probe" in scheduler.plan(1)
         cq.evaluate_at(1)
@@ -190,13 +190,13 @@ def catalog_schema():
     )
 
 
-def build_pems(engine="incremental", rows=20):
+def build_pems(rows=20):
     """A join whose selection sits *above* the join — exactly the shape
     the optimizer re-lowers once the readings churn dwarfs the estimate
     sampled at registration (when ``readings`` was empty).  A stream
     source feeds ``rows`` fresh readings every instant (distinct values
     per tick, so the 1-instant window genuinely churns)."""
-    pems = PEMS(engine=engine)
+    pems = PEMS()
     pems.tables.create_relation(readings_schema(), infinite=True)
     pems.tables.create_relation(catalog_schema())
     pems.tables.insert(

@@ -1,9 +1,9 @@
 """Differential coverage of semantic substitution: a sensor dies for
 good mid-run (``crash_permanent``), yet the surveillance queries keep
 reporting every single instant because a spare environmental station is
-substituted in — and all four engines (naive, incremental, shared,
-columnar) agree tick-for-tick on relations, substitution bindings,
-failover tables and rebind history.
+substituted in — and the naive oracle and the shared engine on the row
+and columnar backends agree tick-for-tick on relations, substitution
+bindings, failover tables and rebind history.
 
 The crash instant itself is served by the precomputed failover table;
 from the next instant on the sticky binding routes the invocations, so
@@ -16,9 +16,13 @@ from repro.devices.scenario import build_temperature_surveillance
 from repro.model.invocation_policy import InvocationPolicy
 from repro.model.substitution import SubstitutionRule
 
-from tests.exec.test_differential import TICKS, action_strings, outbox_key
-
-ENGINES = ("naive", "incremental", "shared", "columnar")
+from tests.exec.test_differential import (
+    ENGINES,
+    PHYSICAL,
+    TICKS,
+    action_strings,
+    outbox_key,
+)
 
 CRASH_AT = 20
 POLICY = InvocationPolicy(failure_threshold=1, quarantine_backoff=8)
@@ -34,9 +38,10 @@ RULES = (
 )
 
 
-def drive_substitution_scenario(engine):
+def drive_substitution_scenario(engine, backend="row"):
     scenario = build_temperature_surveillance(
         engine=engine,
+        backend=backend,
         policy=POLICY,
         sensor_faults=FAULTS,
         fault_seed="sub-diff",
@@ -100,13 +105,12 @@ def assert_scenarios_agree(reference, others):
 
 
 def test_substitution_differential_zero_missed_ticks():
-    """All four engines agree through a permanent crash; the dead
+    """Every configuration agrees through a permanent crash; the dead
     sensor's readings keep flowing every instant via the substitute."""
-    runs = {engine: drive_substitution_scenario(engine) for engine in ENGINES}
-    assert_scenarios_agree(
-        runs["naive"],
-        [runs["incremental"], runs["shared"], runs["columnar"]],
-    )
+    runs = {
+        name: drive_substitution_scenario(*ENGINES[name]) for name in ENGINES
+    }
+    assert_scenarios_agree(runs["naive"], [runs[name] for name in PHYSICAL])
     scenario, snaps = runs["naive"]
 
     # The crash really was permanent (not a transient window).

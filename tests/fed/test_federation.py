@@ -306,7 +306,7 @@ class TestShardAwareCosting:
             .query()
         )
         costs = [
-            model.tick_cost(plan, engine="incremental", shards=n).total
+            model.tick_cost(plan, shards=n).total
             for n in (1, 2, 4, 8)
         ]
         assert costs == sorted(costs, reverse=True)
@@ -319,8 +319,8 @@ class TestShardAwareCosting:
         )
         model = CostModel(fed.environment, instant=1)
         plan = scan(fed.environment, "sensors").project("location").query()
-        base = model.tick_cost(plan, engine="incremental")
-        assert model.tick_cost(plan, engine="incremental", shards=1) == base
+        base = model.tick_cost(plan)
+        assert model.tick_cost(plan, shards=1) == base
 
 
 class TestExplainAndShell:

@@ -376,6 +376,17 @@ class TestCityCommands:
         assert "loaded the city scenario" in text
         assert "avg_load" in text
 
+    def test_unknown_demo_engine_keeps_the_shell_running(self, shell):
+        sh, out = shell
+        for command in (".demo city federated-typo", ".demo temperature bogus"):
+            sh.execute(command)
+            assert sh.running
+        text = out.getvalue()
+        assert "error: unknown engine 'federated-typo'" in text
+        assert "error: unknown engine 'bogus'" in text
+        assert "federated-processes" in text  # the valid names are listed
+        assert "loaded the" not in text
+
     def test_demo_city_federated_shards(self, shell):
         sh, out = shell
         sh.execute(".demo city federated")

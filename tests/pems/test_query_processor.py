@@ -303,3 +303,6 @@ class TestEngineSelection:
             pems.queries.register_continuous(
                 scan(pems.environment, "sensors").query(), engine="quantum"
             )
+        # ...and at construction, before any query registers.
+        with pytest.raises(SerenaError, match="expected one of naive, shared"):
+            PEMS(engine="quantum")

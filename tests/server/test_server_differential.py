@@ -133,13 +133,9 @@ class TestSharedEngineReplay:
 
 
 class TestFederatedReplay:
-    @pytest.mark.parametrize("parallelism", [None, "threads"])
-    def test_federated_server_matches_naive_oracle(self, parallelism):
+    def test_federated_server_matches_naive_oracle(self):
         pems = make_pems(
-            FederatedPEMS,
-            zones=2,
-            parallelism=parallelism,
-            partition_by={"readings": "device"},
+            FederatedPEMS, zones=2, partition_by={"readings": "device"}
         )
         server = SubscriptionServer(pems, queue_depth=4)
         try:
